@@ -32,16 +32,19 @@ The store is wired into :class:`~repro.experiments.setup.ExperimentSetup`
 ``~/.cache/repro-360`` (``--artifact-cache DIR`` / ``--no-artifact-cache``
 to relocate or disable, ``REPRO_ARTIFACT_CACHE`` as the env override).
 
-Session **results** are cached the same way: a
+Session **results** are cached in the same directory, but in columnar
+shards rather than one file per object: a
 :class:`~repro.streaming.metrics.SessionResult` is a deterministic
 function of the sweep context (schemes, device, manifests, Ptiles,
 traces, session config) and the job (scheme, video, network, user,
-per-job overrides), so :func:`results_key` digests both — via
-:func:`structural_fingerprint`, which reduces the live experiment
+per-job overrides).  :func:`results_shard_key` digests the context —
+via :func:`structural_fingerprint`, which reduces the live experiment
 objects to primitives — plus :data:`RESULTS_SCHEMA_VERSION` and the
-package version.  Any change to the simulation inputs or the code
-version lands in a different slot; ``repro-360 --no-results-cache``
-opts out (see ``run_session_jobs``).
+package version into one shard per ``(context, video)`` group, and
+:func:`session_job_digest` keys each job's row inside it.  Any change
+to the simulation inputs or the code version lands in a different
+slot; ``repro-360 --no-results-cache`` opts out (see
+``run_session_jobs``).
 """
 
 from __future__ import annotations
@@ -88,8 +91,6 @@ __all__ = [
     "manifest_key",
     "ptiles_key",
     "ftiles_key",
-    "results_key",
-    "results_key_from_digest",
     "results_shard_key",
     "session_job_digest",
     "structural_fingerprint",
@@ -135,7 +136,9 @@ it every VideoManifest and sweep-context digest) now covers the
 encoding ladder, so sessions run under the fixed and an optimized
 ladder can never share a cached result."""
 
-ARTIFACT_KINDS = ("manifest", "ptiles", "ftiles", "results", "ladder")
+ARTIFACT_KINDS = ("manifest", "ptiles", "ftiles", "ladder")
+"""Kinds stored one pickle per object; session results live in
+shards (see :meth:`ArtifactStore.get_results_batch`)."""
 
 
 def default_cache_dir() -> Path:
@@ -428,32 +431,13 @@ def session_job_digest(job: Any) -> str:
     return content_digest("session-job", parts)
 
 
-def results_key_from_digest(context_digest: str, job_digest: str) -> str:
-    """Cache key of one session's result from its precomputed job digest.
-
-    Split out of :func:`results_key` so the sharded runner path, which
-    already needs :func:`session_job_digest` as the shard column key,
-    does not hash every job twice.
-    """
-    return _versioned(
-        "results", RESULTS_SCHEMA_VERSION, context_digest, job_digest
-    )
-
-
-def results_key(context_digest: str, job: Any) -> str:
-    """Cache key of one session's result under one sweep context."""
-    return results_key_from_digest(context_digest, session_job_digest(job))
-
-
 def results_shard_key(context_digest: str, video_id: int) -> str:
     """Key of the columnar shard holding every session result of one
     ``(sweep context, video)`` group.
 
     Within a shard, columns are keyed by :func:`session_job_digest`
     alone: the schema version, code version, and context digest are
-    already pinned by the shard key, so the pair ``(shard key, job
-    digest)`` spans exactly the same space as the flat
-    :func:`results_key`.
+    already pinned by the shard key.
     """
     return _versioned(
         "results-shard", RESULTS_SCHEMA_VERSION, context_digest, video_id
@@ -487,7 +471,7 @@ class ArtifactStats:
 
     def report(self) -> str:
         parts = []
-        for kind in ARTIFACT_KINDS:
+        for kind in (*ARTIFACT_KINDS, "results"):
             parts.append(
                 f"{kind}: {self.hits.get(kind, 0)} hit(s),"
                 f" {self.misses.get(kind, 0)} miss(es),"
@@ -499,8 +483,12 @@ class ArtifactStats:
 _DIGEST_RE = re.compile(r"[0-9a-f]{64}\Z")
 
 SHARD_DIR = "results-shards"
-"""Subdirectory of columnar session-result shards (see
-:class:`ShardedResultsStore`)."""
+"""Subdirectory of columnar session-result shards."""
+
+_OLD_RESULTS_DIR = "results"
+"""Per-session result pickles written by caches that predate shards.
+Never read; :meth:`ArtifactStore.clear` removes them and
+:meth:`ArtifactStore.size_bytes` counts them until then."""
 
 
 def _validate_digest(digest: str) -> str:
@@ -518,8 +506,65 @@ def _validate_digest(digest: str) -> str:
     return digest
 
 
+# ----------------------------------------------------------------------
+# Columnar session-result shards.  One shard file holds every cached
+# session of one (sweep-context digest, video) group, so a warm
+# million-session sweep opens one file per group instead of one per
+# session.  Layout (all little-endian, written atomically):
+#
+#   magic        b"RSHARD1\n"
+#   digests      .npy, S32, binary SHA-256 job digests, ascending
+#   offsets      .npy, int64, payload offset of each column
+#   ends         .npy, int64, payload end of each column
+#   payload      concatenated per-column pickle blobs
+#
+# Each column is ``pickle.dumps(result, HIGHEST_PROTOCOL)`` of one
+# session.  Keeping the index as raw numpy arrays (not a zip/npz
+# container) lets a batch lookup run as a handful of vector ops: one
+# read(), three read_array() calls, one searchsorted over the sorted
+# digest column, then one pickle.loads per requested row.
+# ----------------------------------------------------------------------
+
+_SHARD_MAGIC = b"RSHARD1\n"
+
+
+@contextmanager
+def _merge_lock(lock_path: Path) -> Iterator[None]:
+    """Serialize shard read-merge-replace cycles between writers.
+
+    With ``fcntl`` (any POSIX platform) concurrent merges queue on an
+    exclusive lock, so two writers merging disjoint job sets both land
+    in the final shard.  Without it the merge degrades to documented
+    last-writer-wins: the losing writer's rows are recomputed (never
+    corrupted) on the next run.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX platforms
+        yield
+        return
+    with open(lock_path, "ab") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(fh, fcntl.LOCK_UN)
+
+
 class ArtifactStore:
-    """Disk-backed, content-hash-keyed cache of content-prep artifacts.
+    """Disk-backed, content-hash-keyed cache of experiment artifacts.
+
+    Content-prep artifacts (manifests, Ptiles, Ftiles, ladders — a
+    handful per video) are stored one pickle per object through
+    :meth:`get`/:meth:`put`.  Session results live in columnar shards,
+    one per ``(sweep-context digest, video)`` group, through a batch
+    interface:
+
+    * :meth:`get_results_batch` — one shard read serves every requested
+      job of the group.
+    * :meth:`merge_shard` — append-merge: read the existing shard raw
+      (columns are never deserialized), overlay the new columns, and
+      atomically replace the file.  Merges are serialized by an
+      exclusive file lock, so concurrent writers with disjoint job sets
+      cannot lose each other's rows.
 
     ``root=None`` resolves to :func:`default_cache_dir`.  The directory
     is created lazily on the first write, so constructing a store never
@@ -593,6 +638,7 @@ class ArtifactStore:
         for kind in ARTIFACT_KINDS:
             yield self.root / kind
         yield self.root / SHARD_DIR
+        yield self.root / _OLD_RESULTS_DIR
 
     def _sweep_stale_tmps(self, directory: Path) -> int:
         """Unlink orphaned writer temp files past the age gate."""
@@ -611,8 +657,8 @@ class ArtifactStore:
         """Delete every stored artifact; returns the number removed.
 
         Also sweeps orphaned writer temp files (age-gated, so a live
-        writer's in-flight temp file is never yanked away) and shard
-        lock files.
+        writer's in-flight temp file is never yanked away), shard lock
+        files, and the per-session result pickles of older caches.
         """
         removed = 0
         for directory in self._directories():
@@ -647,83 +693,10 @@ class ArtifactStore:
                         pass
         return total
 
-
-# ----------------------------------------------------------------------
-# Columnar session-result shards.  One shard file holds every cached
-# session of one (sweep-context digest, video) group, so a warm
-# million-session sweep opens one file per group instead of one per
-# session.  Layout (all little-endian, written atomically):
-#
-#   magic        b"RSHARD1\n"
-#   digests      .npy, S32, binary SHA-256 job digests, ascending
-#   offsets      .npy, int64, payload offset of each column
-#   ends         .npy, int64, payload end of each column
-#   payload      concatenated per-column pickle blobs
-#
-# Columns are individually pickled with the same protocol as the legacy
-# per-session files, so a result read from a shard is bit-for-bit the
-# object the legacy path would have produced.  Keeping the index as raw
-# numpy arrays (not a zip/npz container) lets a batch lookup run as a
-# handful of vector ops: one read(), three read_array() calls, one
-# searchsorted over the sorted digest column, then one pickle.loads per
-# requested row.
-# ----------------------------------------------------------------------
-
-_SHARD_MAGIC = b"RSHARD1\n"
-
-
-@contextmanager
-def _merge_lock(lock_path: Path) -> Iterator[None]:
-    """Serialize shard read-merge-replace cycles between writers.
-
-    With ``fcntl`` (any POSIX platform) concurrent merges queue on an
-    exclusive lock, so two writers merging disjoint job sets both land
-    in the final shard.  Without it the merge degrades to documented
-    last-writer-wins: the losing writer's rows are recomputed (never
-    corrupted) on the next run.
-    """
-    if fcntl is None:  # pragma: no cover - non-POSIX platforms
-        yield
-        return
-    with open(lock_path, "ab") as fh:
-        fcntl.flock(fh, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(fh, fcntl.LOCK_UN)
-
-
-class ShardedResultsStore(ArtifactStore):
-    """Artifact store whose session results live in columnar shards.
-
-    Everything except the ``results`` kind behaves exactly like
-    :class:`ArtifactStore` (manifests, Ptiles, and Ftiles keep their
-    one-file-per-object layout — there are a handful per video).  For
-    session results it adds a batch interface keyed by the shard of one
-    ``(sweep-context digest, video)`` group:
-
-    * :meth:`get_results_batch` — one shard read serves every requested
-      job of the group; jobs absent from the shard fall back to the
-      legacy per-session ``results/*.pkl`` files, and those legacy hits
-      are returned for migration so the caller can fold them into the
-      shard (after which the per-session files are dead weight,
-      removable with ``clear()``).
-    * :meth:`merge_shard` — append-merge: read the existing shard raw
-      (columns are never deserialized), overlay the new columns, and
-      atomically replace the file.  Merges are serialized by an
-      exclusive file lock, so concurrent writers with disjoint job sets
-      cannot lose each other's rows.
-
-    The per-session :meth:`get`/:meth:`put` API is inherited unchanged,
-    so code written against :class:`ArtifactStore` (including the CLI
-    flags and the worker fan-out) keeps working; only the batch entry
-    points read or write shards.
-    """
+    # -- session-result shards -------------------------------------------
 
     def shard_path(self, shard_digest: str) -> Path:
         return self.root / SHARD_DIR / f"{_validate_digest(shard_digest)}.shard"
-
-    # -- raw shard I/O --------------------------------------------------
 
     def _read_shard_raw(
         self, shard_digest: str
@@ -761,7 +734,7 @@ class ShardedResultsStore(ArtifactStore):
             return None
         except Exception:
             # Truncated or corrupt shard: drop it and let the sweep
-            # rebuild (or re-migrate) its rows.
+            # rebuild its rows.
             try:
                 path.unlink()
             except OSError:
@@ -797,36 +770,26 @@ class ShardedResultsStore(ArtifactStore):
                 pass
         return path
 
-    # -- batch interface ------------------------------------------------
-
     def get_results_batch(
         self,
         shard_digest: str,
-        entries: Sequence[tuple[str, str]],
+        job_digests: Sequence[str],
         *,
         _retry: bool = True,
-    ) -> tuple[list[Any], dict[str, Any]]:
+    ) -> list[Any]:
         """Look up many session results of one shard group at once.
 
-        ``entries`` is a sequence of ``(job digest, legacy results
-        key)`` pairs.  Returns ``(results, migrated)``: ``results`` has
-        one entry per input (``None`` on miss), and ``migrated`` maps
-        job digests to results that were served from legacy per-session
-        pickles and should be folded into the shard by the caller's
-        next :meth:`merge_shard` so future runs need only the shard.
-
-        Every row is counted in the ``results`` hit/miss stats exactly
-        once, shard-served or legacy-served.
+        Returns one entry per job digest, in request order (``None`` on
+        miss).  Every row is counted exactly once as a ``results`` hit
+        or miss.
         """
         raw = self._read_shard_raw(shard_digest)
-        results: list[Any] = [None] * len(entries)
-        hits: list[bool] = [False] * len(entries)
-        shard_hits = 0
+        results: list[Any] = [None] * len(job_digests)
+        hits = 0
         if raw is not None and len(raw[0]):
             digests, offsets, ends, buf, base = raw
             want = np.frombuffer(
-                bytes.fromhex("".join([digest for digest, _ in entries])),
-                dtype="S32",
+                bytes.fromhex("".join(job_digests)), dtype="S32"
             )
             # Search on a big-endian u64 view of each digest's first 8
             # bytes: same sort order as the S32 column but ~2x faster
@@ -842,16 +805,16 @@ class ShardedResultsStore(ArtifactStore):
                     prefix, np.ascontiguousarray(want.view(">u8")[::4])
                 )
             clipped = np.minimum(pos, len(digests) - 1)
-            hits = (digests[clipped] == want).tolist()
+            found = (digests[clipped] == want).tolist()
             starts = (offsets[clipped] + base).tolist()
             stops = (ends[clipped] + base).tolist()
             loads = pickle.loads
             view = memoryview(buf)  # slice without copying each row
             try:
-                for i, hit in enumerate(hits):
+                for i, hit in enumerate(found):
                     if hit:
                         results[i] = loads(view[starts[i] : stops[i]])
-                        shard_hits += 1
+                        hits += 1
             except MemoryError:
                 raise
             except Exception:
@@ -863,22 +826,12 @@ class ShardedResultsStore(ArtifactStore):
                     pass
                 if _retry:
                     return self.get_results_batch(
-                        shard_digest, entries, _retry=False
+                        shard_digest, job_digests, _retry=False
                     )
                 raise
-        self.stats.record(self.stats.hits, "results", shard_hits)
-        if shard_hits == len(entries):  # fully warm: no legacy fallback
-            return results, {}
-
-        migrated: dict[str, Any] = {}
-        for i, (job_digest, legacy_key) in enumerate(entries):
-            if hits[i]:
-                continue
-            obj = self.get("results", legacy_key)  # counts hit or miss
-            if obj is not None:
-                results[i] = obj
-                migrated[job_digest] = obj
-        return results, migrated
+        self.stats.record(self.stats.hits, "results", hits)
+        self.stats.record(self.stats.misses, "results", len(results) - hits)
+        return results
 
     def merge_shard(self, shard_digest: str, entries: dict[str, Any]) -> Path:
         """Append-merge ``{job digest: result}`` into a shard.
@@ -910,3 +863,7 @@ class ShardedResultsStore(ArtifactStore):
             self._write_shard_raw(shard_digest, blobs)
         self.stats.record(self.stats.writes, "results", len(entries))
         return path
+
+
+ShardedResultsStore = ArtifactStore
+"""Former name of the shard-backed store, kept as an alias."""

@@ -38,8 +38,6 @@ class ReportConfig:
     workers: int | None = 1  # session-sweep processes; 0 = auto-detect
     artifacts: ArtifactStore | None = None  # content-prep disk cache
     results: ArtifactStore | None = None  # session-results disk cache
-    # (a ShardedResultsStore batches results into per-(context, video)
-    # columnar shards; the CLI passes one by default)
 
 
 def generate_report(

@@ -364,11 +364,10 @@ def run_comparison(
     1 = serial), and likewise fans out cold content preparation across
     videos; results are identical for any worker count, and identical
     with the artifact store on or off.  ``results_store`` additionally
-    serves previously computed sessions from the results cache (see
-    :func:`~repro.experiments.runner.run_session_jobs`); pass a
-    :class:`~repro.experiments.artifacts.ShardedResultsStore` to read
-    and write columnar per-(context, video) shards — one file open per
-    video group instead of one per session — with identical results.
+    serves previously computed sessions from the results cache's
+    columnar per-(context, video) shards (see
+    :func:`~repro.experiments.runner.run_session_jobs`), with identical
+    results.
     """
     context, jobs = build_sweep(
         setup, device, users_per_video, video_ids, scheme_names,

@@ -307,15 +307,22 @@ class ServiceRunner:
     def close(self) -> None:
         if self._loop.is_closed():
             return
-        for server in self._servers:
-            server.close()
-            asyncio.run_coroutine_threadsafe(
-                server.wait_closed(), self._loop
-            ).result()
-        self._servers.clear()
-        asyncio.run_coroutine_threadsafe(
-            self.service.close(), self._loop
-        ).result()
+        servers, self._servers = self._servers, []
+
+        # asyncio.Server is not thread-safe, so all TCP teardown runs
+        # in one coroutine on the loop thread.  Closing the connection
+        # writers sends EOF, letting their handlers finish (as in
+        # run_server).
+        async def shutdown() -> None:
+            for server in servers:
+                server.close()
+                for writer in list(server.repro_connections):
+                    writer.close()
+            for server in servers:
+                await server.wait_closed()
+            await self.service.close()
+
+        asyncio.run_coroutine_threadsafe(shutdown(), self._loop).result()
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join()
         self._loop.close()

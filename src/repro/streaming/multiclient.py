@@ -6,12 +6,12 @@ what happens when several 360° viewers share a cell: Ptile clients
 download fewer bits per segment, so the same link sustains more of them
 at a given quality.
 
-This module provides a round-based approximation: in each one-second
-round, every active client requests its next segment and the link's
-capacity for that second is divided between the clients that are
-actively downloading (processor sharing).  Per-client buffers, quality
-adaptation, energy, and QoE use the same machinery as the single-client
-simulator; only the bandwidth each client sees changes round to round.
+This module provides a static fair-share approximation: the link's
+trace is scaled by ``1/N`` once for the whole session, and each of the
+N clients streams independently over that fair-share trace.
+Per-client buffers, quality adaptation, energy, and QoE use the same
+machinery as the single-client simulator; only the bandwidth each
+client sees changes.
 """
 
 from __future__ import annotations
@@ -71,11 +71,12 @@ def run_shared_link(
     """Simulate N clients sharing one bottleneck link.
 
     ``scheme_factory`` is called once per client (schemes carry mutable
-    state in general).  The shared link is approximated by processor
-    sharing: each client sees ``capacity / N`` whenever all N stream
-    concurrently — exact when clients stay backlogged, conservative when
-    some idle at their buffer cap (their unused share is not
-    redistributed, matching the pessimistic end of TCP fairness).
+    state in general).  The shared link is approximated by a static
+    fair share: every client runs a separate session against the trace
+    scaled by ``1/N`` for its whole length — exact when all clients
+    stay backlogged, conservative when some idle at their buffer cap
+    (their unused share is never redistributed, matching the
+    pessimistic end of TCP fairness).
 
     ``edge_model`` attaches a shared edge cache in front of the link:
     every client serves the modelled hit fraction of each segment at the

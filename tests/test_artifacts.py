@@ -187,18 +187,18 @@ class TestArtifactStore:
         stays on disk and a later load (with memory back) hits."""
         store = ArtifactStore(tmp_path)
         digest = content_digest("big")
-        path = store.put("results", digest, {"payload": list(range(50))})
+        path = store.put("ptiles", digest, {"payload": list(range(50))})
 
         def oom(*args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(pickle, "load", oom)
-        assert store.get("results", digest) is None
+        assert store.get("ptiles", digest) is None
         assert path.exists()  # NOT unlinked, unlike a corrupt pickle
-        assert store.stats.misses == {"results": 1}
+        assert store.stats.misses == {"ptiles": 1}
 
         monkeypatch.undo()
-        assert store.get("results", digest) == {"payload": list(range(50))}
+        assert store.get("ptiles", digest) == {"payload": list(range(50))}
 
     def test_malformed_digest_rejected(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -212,11 +212,11 @@ class TestArtifactStore:
             "",
         ):
             with pytest.raises(ValueError):
-                store.path_for("results", bad)
+                store.path_for("ptiles", bad)
             with pytest.raises(ValueError):
-                store.get("results", bad)
+                store.get("ptiles", bad)
             with pytest.raises(ValueError):
-                store.put("results", bad, "payload")
+                store.put("ptiles", bad, "payload")
 
     def test_path_stays_inside_kind_directory(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -228,8 +228,8 @@ class TestArtifactStore:
         clear()/size_bytes(); the age-gated sweep reclaims it while a
         fresh (possibly live) writer's file is left alone."""
         store = ArtifactStore(tmp_path, stale_tmp_age_s=60.0)
-        store.put("results", content_digest("keep"), "v")
-        kind_dir = tmp_path / "results"
+        store.put("ptiles", content_digest("keep"), "v")
+        kind_dir = tmp_path / "ptiles"
 
         stale = kind_dir / f".{content_digest('dead')}.12345.tmp"
         stale.write_bytes(b"x" * 100)

@@ -43,25 +43,14 @@ class TestParser:
 
     def test_results_store_defaults_to_sharded(self, tmp_path):
         from repro.cli import _results_store
-        from repro.experiments.artifacts import (
-            ArtifactStore,
-            ShardedResultsStore,
-        )
+        from repro.experiments.artifacts import ShardedResultsStore
 
         parser = build_parser()
         args = parser.parse_args(
             ["fig9", "--results-cache", str(tmp_path)]
         )
-        assert not args.legacy_results_cache
         store = _results_store(args)
         assert type(store) is ShardedResultsStore
-
-        args = parser.parse_args(
-            ["fig9", "--results-cache", str(tmp_path),
-             "--legacy-results-cache"]
-        )
-        store = _results_store(args)
-        assert type(store) is ArtifactStore
 
         args = parser.parse_args(["fig9", "--no-results-cache"])
         assert _results_store(args) is None

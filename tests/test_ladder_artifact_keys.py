@@ -143,8 +143,10 @@ class TestResultsKeys:
         store = ShardedResultsStore(tmp_path / "results")
         key_a = results_shard_key(sweep_context_digest(base), 8)
         key_b = results_shard_key(sweep_context_digest(override), 8)
-        store.put("results", key_a, {"job": "payload"})
-        assert store.get("results", key_b) is None
+        job = content_digest("job")
+        store.merge_shard(key_a, {job: {"job": "payload"}})
+        assert store.get_results_batch(key_b, [job]) == [None]
+        assert store.get_results_batch(key_a, [job]) == [{"job": "payload"}]
 
 
 class TestServingMemos:

@@ -19,7 +19,7 @@ import pytest
 from repro.experiments import make_schemes, run_comparison
 from repro.experiments.artifacts import (
     ArtifactStore,
-    results_key,
+    results_shard_key,
     session_job_digest,
     structural_fingerprint,
     sweep_context_digest,
@@ -59,6 +59,14 @@ def make_jobs(schemes=("ctile", "ours"), users=2):
         for name in schemes
         for u in range(users)
     ]
+
+
+def row_address(context_digest, job):
+    """Where a job's result is cached: its shard and its row in it."""
+    return (
+        results_shard_key(context_digest, job.video_id),
+        session_job_digest(job),
+    )
 
 
 def session_signature(result):
@@ -157,7 +165,7 @@ class TestInvalidation:
         b = dataclasses.replace(a, key=("entirely", "different"))
         assert session_job_digest(a) == session_job_digest(b)
         digest = sweep_context_digest(sweep_context)
-        assert results_key(digest, a) == results_key(digest, b)
+        assert row_address(digest, a) == row_address(digest, b)
 
     def test_key_sensitive_to_job_parameters(self, sweep_context):
         digest = sweep_context_digest(sweep_context)
@@ -170,7 +178,7 @@ class TestInvalidation:
             dataclasses.replace(base, use_ptiles=False),
             dataclasses.replace(base, config=SessionConfig(max_segments=3)),
         ):
-            assert results_key(digest, changed) != results_key(digest, base)
+            assert row_address(digest, changed) != row_address(digest, base)
 
     def test_context_digest_sensitive_to_device_and_config(
         self, sweep_context
@@ -333,3 +341,32 @@ class TestRunComparisonResultsStore:
             ]
 
         assert signature(off) == signature(cold) == signature(warm)
+
+    def test_one_shard_per_video_and_warm_run_executes_nothing(
+        self, small_dataset, network_traces, device, tmp_path, monkeypatch
+    ):
+        setup = ExperimentSetup(
+            dataset=small_dataset,
+            encoder=EncoderModel(),
+            trace1=network_traces[0],
+            trace2=network_traces[1],
+        )
+        kwargs = dict(users_per_video=1, video_ids=(2, 8),
+                      scheme_names=("ctile", "ours"))
+        cold = run_comparison(setup, device,
+                              results_store=ArtifactStore(tmp_path), **kwargs)
+        shards = list((tmp_path / "results-shards").glob("*.shard"))
+        assert len(shards) == 2  # one per (context, video) group
+        assert not list(tmp_path.rglob("results/*.pkl"))
+
+        def boom(self, job):  # pragma: no cover - must not run
+            raise AssertionError("a session ran on a warm results cache")
+
+        monkeypatch.setattr(SweepContext, "run_job", boom)
+        warm_store = ArtifactStore(tmp_path)
+        warm = run_comparison(setup, device, results_store=warm_store,
+                              **kwargs)
+        assert warm_store.stats.misses.get("results") is None
+        assert warm_store.stats.hits["results"] == sum(
+            len(sessions) for sessions in cold.values()
+        )

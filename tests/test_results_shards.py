@@ -4,18 +4,18 @@ The load-bearing properties, on top of everything
 ``tests/test_results_cache.py`` already pins for the flat store:
 
 * **Identity** — shard-served aggregates are byte-identical to
-  cache-off and to the legacy per-pickle store, cold or warm, at any
-  worker count.
+  cache-off, cold or warm, at any worker count.
 * **One file per group** — a sweep touches exactly one shard file per
   ``(sweep-context digest, video)`` group and writes no per-session
   ``results/*.pkl``.
 * **Append-merge** — partial misses run only the missing jobs and fold
   them into the existing shard; concurrent writers with disjoint job
   sets both land in the final shard.
-* **Migration** — legacy per-session pickles seed shard misses and are
-  folded into the shard, after which the shard alone serves the sweep.
 * **Robustness** — corrupt or truncated shards are misses (dropped and
   rebuilt), and a transient ``MemoryError`` never deletes a shard.
+* **Old caches** — per-session ``results/*.pkl`` files left by caches
+  that predate shards are never read, but ``size_bytes()`` counts them
+  and ``clear()`` removes them.
 """
 
 from __future__ import annotations
@@ -30,11 +30,8 @@ from hypothesis import strategies as st
 
 from repro.experiments import make_schemes
 from repro.experiments.artifacts import (
-    ArtifactStore,
     ShardedResultsStore,
     content_digest,
-    results_key,
-    results_key_from_digest,
     results_shard_key,
     session_job_digest,
     sweep_context_digest,
@@ -84,11 +81,6 @@ def session_signature(result):
     )
 
 
-def entry_for(context_digest, job):
-    digest = session_job_digest(job)
-    return digest, results_key_from_digest(context_digest, digest)
-
-
 class TestShardStoreUnit:
     """Direct batch-interface behavior, no sweep machinery."""
 
@@ -102,54 +94,42 @@ class TestShardStoreUnit:
         store.merge_shard(shard, entries)
         return store, shard, entries
 
-    def batch_entries(self, entries):
-        return [
-            (digest, results_key_from_digest(content_digest("ctx"), digest))
-            for digest in entries
-        ]
-
     def test_roundtrip_in_request_order(self, tmp_path):
         payloads = [{"row": i, "data": list(range(i))} for i in range(8)]
         store, shard, entries = self.shard(tmp_path, payloads)
-        asked = self.batch_entries(entries)
-        out, migrated = store.get_results_batch(shard, asked)
+        out = store.get_results_batch(shard, list(entries))
         assert out == payloads  # request order, not sorted shard order
-        assert migrated == {}
         assert store.stats.hits == {"results": len(payloads)}
         assert "results" not in store.stats.misses
 
     def test_missing_rows_are_none_and_counted(self, tmp_path):
         store, shard, entries = self.shard(tmp_path, ["a", "b"])
-        asked = self.batch_entries(entries) + [
-            (content_digest("absent"), content_digest("absent-key"))
-        ]
-        out, migrated = store.get_results_batch(shard, asked)
+        asked = list(entries) + [content_digest("absent")]
+        out = store.get_results_batch(shard, asked)
         assert out == ["a", "b", None]
-        assert migrated == {}
         assert store.stats.hits == {"results": 2}
         assert store.stats.misses == {"results": 1}
 
     def test_absent_shard_is_all_misses(self, tmp_path):
         store = ShardedResultsStore(tmp_path)
-        out, migrated = store.get_results_batch(
-            content_digest("nothing"),
-            [(content_digest("job"), content_digest("key"))],
+        out = store.get_results_batch(
+            content_digest("nothing"), [content_digest("job")]
         )
-        assert out == [None] and migrated == {}
+        assert out == [None]
         assert store.stats.misses == {"results": 1}
 
     def test_merge_overlays_new_values(self, tmp_path):
         store, shard, entries = self.shard(tmp_path, ["old-0", "old-1"])
         first = next(iter(entries))
         store.merge_shard(shard, {first: "new-0"})
-        out, _ = store.get_results_batch(shard, self.batch_entries(entries))
+        out = store.get_results_batch(shard, list(entries))
         assert out == ["new-0", "old-1"]
 
     def test_corrupt_shard_is_a_miss_and_removed(self, tmp_path):
         store, shard, entries = self.shard(tmp_path, ["a"])
         path = store.shard_path(shard)
         path.write_bytes(b"RSHARD1\nnot an index")
-        out, _ = store.get_results_batch(shard, self.batch_entries(entries))
+        out = store.get_results_batch(shard, list(entries))
         assert out == [None]
         assert not path.exists()
 
@@ -157,7 +137,7 @@ class TestShardStoreUnit:
         store, shard, entries = self.shard(tmp_path, [list(range(100))])
         path = store.shard_path(shard)
         path.write_bytes(path.read_bytes()[:-30])
-        out, _ = store.get_results_batch(shard, self.batch_entries(entries))
+        out = store.get_results_batch(shard, list(entries))
         assert out == [None]
         assert not path.exists()
 
@@ -171,11 +151,11 @@ class TestShardStoreUnit:
         monkeypatch.setattr("builtins.open", oom)
         with pytest.raises(MemoryError):
             open(path)  # the patch is live
-        out, _ = store.get_results_batch(shard, self.batch_entries(entries))
+        out = store.get_results_batch(shard, list(entries))
         monkeypatch.undo()
         assert out == [None]
         assert path.exists()  # NOT unlinked, unlike a corrupt shard
-        out, _ = store.get_results_batch(shard, self.batch_entries(entries))
+        out = store.get_results_batch(shard, list(entries))
         assert out == ["a"]
 
     def test_malformed_shard_digest_rejected(self, tmp_path):
@@ -185,35 +165,26 @@ class TestShardStoreUnit:
         with pytest.raises(ValueError):
             store.merge_shard(content_digest("ok"), {"not-a-digest": 1})
 
-    def test_legacy_fallback_and_migration(self, tmp_path):
-        """Rows absent from the shard are served from legacy per-session
-        pickles and handed back for folding into the shard."""
-        store = ShardedResultsStore(tmp_path)
-        shard = content_digest("group")
-        digest = content_digest("job")
-        legacy_key = results_key_from_digest(content_digest("ctx"), digest)
-        ArtifactStore(tmp_path).put("results", legacy_key, {"legacy": True})
-
-        out, migrated = store.get_results_batch(
-            shard, [(digest, legacy_key)]
-        )
-        assert out == [{"legacy": True}]
-        assert migrated == {digest: {"legacy": True}}
-        assert store.stats.hits == {"results": 1}  # counted exactly once
-
-        store.merge_shard(shard, migrated)
-        store.path_for("results", legacy_key).unlink()
-        out, migrated = store.get_results_batch(
-            shard, [(digest, legacy_key)]
-        )
-        assert out == [{"legacy": True}] and migrated == {}
-
     def test_shard_files_counted_and_cleared(self, tmp_path):
         store, shard, entries = self.shard(tmp_path, ["a", "b"])
         assert store.size_bytes() > 0
         assert store.clear() >= 1
         assert store.size_bytes() == 0
         assert not store.shard_path(shard).exists()
+
+    def test_old_per_session_pickles_counted_and_cleared(self, tmp_path):
+        store, shard, entries = self.shard(tmp_path, ["a"])
+        old_dir = tmp_path / "results"
+        old_dir.mkdir()
+        old = old_dir / f"{content_digest('old-session')}.pkl"
+        old.write_bytes(b"x" * 1000)
+        shard_bytes = store.shard_path(shard).stat().st_size
+        assert store.size_bytes() == shard_bytes + 1000
+        assert store.get_results_batch(shard, list(entries)) == ["a"]
+        # The shard, its merge lock, and the old pickle.
+        assert store.clear() == 3
+        assert not old.exists()
+        assert store.size_bytes() == 0
 
     def test_concurrent_disjoint_merges_lose_nothing(self, tmp_path):
         """Two writers merging disjoint job sets into one shard: the
@@ -246,10 +217,7 @@ class TestShardStoreUnit:
         assert not errors
 
         union = {**sets[0], **sets[1]}
-        out, _ = store.get_results_batch(
-            shard,
-            [(d, content_digest("k", d)) for d in union],
-        )
+        out = store.get_results_batch(shard, list(union))
         assert out == list(union.values())
 
 
@@ -278,22 +246,19 @@ class TestMergeProperties:
         store.merge_shard(shard, as_digests(second))
 
         expected = as_digests({**first, **second})
-        out, _ = store.get_results_batch(
-            shard,
-            [(d, content_digest("k", d)) for d in expected],
-        )
+        out = store.get_results_batch(shard, list(expected))
         assert out == list(expected.values())
 
 
 class TestSweepIdentity:
-    def test_off_legacy_sharded_identical_any_worker_count(
+    def test_off_cold_warm_identical_any_worker_count(
         self, sweep_context, tmp_path
     ):
         jobs = make_jobs()
         off = run_session_jobs(sweep_context, jobs, workers=1)
-        legacy = run_session_jobs(
-            sweep_context, jobs, workers=1,
-            results=ArtifactStore(tmp_path / "legacy"),
+        pooled_cold = run_session_jobs(
+            sweep_context, jobs, workers=2,
+            results=ShardedResultsStore(tmp_path / "pooled"),
         )
 
         cold_store = ShardedResultsStore(tmp_path / "shards")
@@ -313,7 +278,7 @@ class TestSweepIdentity:
             ]
         assert (
             [session_signature(r) for r in cold.results]
-            == [session_signature(r) for r in legacy.results]
+            == [session_signature(r) for r in pooled_cold.results]
             == [session_signature(r) for r in off.results]
         )
 
@@ -376,47 +341,17 @@ class TestSweepIdentity:
                                 results=ShardedResultsStore(tmp_path))
         assert warm.cache_hits == len(both)
 
-    def test_legacy_pickles_migrate_into_shard(self, sweep_context,
-                                               tmp_path):
-        """A cache populated by the flat store serves a sharded run with
-        all hits, and the run folds the rows into a shard that then
-        serves alone (the legacy pickles can be deleted)."""
-        jobs = make_jobs()
-        legacy = run_session_jobs(sweep_context, jobs, workers=1,
-                                  results=ArtifactStore(tmp_path))
-
-        store = ShardedResultsStore(tmp_path)
-        migrated = run_session_jobs(sweep_context, jobs, workers=1,
-                                    results=store)
-        assert migrated.cache_hits == len(jobs)
-        assert len(list((tmp_path / "results-shards").glob("*.shard"))) == 1
-
-        for pkl in (tmp_path / "results").glob("*.pkl"):
-            pkl.unlink()
-        warm = run_session_jobs(sweep_context, jobs, workers=1,
-                                results=ShardedResultsStore(tmp_path))
-        assert warm.cache_hits == len(jobs)
-        assert [session_signature(r) for r in warm.results] == [
-            session_signature(r) for r in legacy.results
-        ]
-
     def test_shard_rows_byte_identical_to_legacy_pickles(self, sweep_context,
                                                          tmp_path):
-        """The shard column of a job is bit-for-bit the pickle the
-        legacy per-session path would have written."""
+        """The shard column of a job is bit-for-bit
+        ``pickle.dumps(result, HIGHEST_PROTOCOL)`` of its session."""
         jobs = make_jobs(schemes=("ctile",), users=1)
-        legacy_store = ArtifactStore(tmp_path / "legacy")
-        run_session_jobs(sweep_context, jobs, workers=1,
-                         results=legacy_store)
-        shard_store = ShardedResultsStore(tmp_path / "shards")
+        off = run_session_jobs(sweep_context, jobs, workers=1)
+        shard_store = ShardedResultsStore(tmp_path)
         run_session_jobs(sweep_context, jobs, workers=1,
                          results=shard_store)
 
         context_digest = sweep_context_digest(sweep_context.slice({2}))
-        legacy_blob = legacy_store.path_for(
-            "results", results_key(context_digest, jobs[0])
-        ).read_bytes()
-
         raw = shard_store._read_shard_raw(
             results_shard_key(context_digest, 2)
         )
@@ -426,4 +361,6 @@ class TestSweepIdentity:
         )
         row = int(np.searchsorted(digests, want)[0])
         shard_blob = buf[base + int(offsets[row]) : base + int(ends[row])]
-        assert shard_blob == legacy_blob
+        assert shard_blob == pickle.dumps(
+            off.results[0], protocol=pickle.HIGHEST_PROTOCOL
+        )

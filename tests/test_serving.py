@@ -407,6 +407,31 @@ class TestTcp:
                 t.join()
         assert got == [expected] * 3
 
+    def test_close_tears_down_tcp_on_loop_thread(self, planner2, manifest2,
+                                                 monkeypatch):
+        """asyncio.Server is not thread-safe: ServiceRunner.close() must
+        close its servers from the loop thread, never the caller's."""
+        import asyncio
+
+        closers = []
+        server_close = asyncio.Server.close
+
+        def recording_close(server):
+            closers.append(threading.current_thread())
+            server_close(server)
+
+        monkeypatch.setattr(asyncio.Server, "close", recording_close)
+        requests = _requests(2, manifest2.num_segments, count=4)
+        runner = ServiceRunner(DecisionService([planner2]))
+        loop_thread = runner._thread
+        port = runner.serve_tcp(port=0)
+        with RemoteClient(port=port) as client:
+            assert client.plan_many(requests) == [
+                planner2.plan_one(r) for r in requests
+            ]
+        runner.close()
+        assert closers == [loop_thread]
+
 
 class TestStreamingSeams:
     def test_run_session_via_service(self, scheme, planner2, manifest2,
