@@ -46,6 +46,8 @@ class MpcConfig:
             raise ValueError("buffer parameters must be positive")
         if not (0.0 <= self.qoe_tolerance < 1.0):
             raise ValueError("tolerance must be in [0, 1)")
+        # snap() runs once per DP transition; keep its clamp bound at hand.
+        object.__setattr__(self, "_max_state", self.num_states - 1)
 
     @property
     def num_states(self) -> int:
@@ -58,7 +60,7 @@ class MpcConfig:
     def snap(self, buffer_s: float) -> int:
         """Nearest state index for a continuous buffer level."""
         idx = int(round(buffer_s / self.buffer_granularity_s))
-        return min(max(idx, 0), self.num_states - 1)
+        return min(max(idx, 0), self._max_state)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ try:  # POSIX only; the shard merge degrades gracefully without it.
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from ..geometry.tiling import TileGrid
+from ..geometry.tiling import Tile, TileGrid
 from ..ptile.construction import Ptile, PtileConfig
 from ..streaming.cache import EdgeHitModel
 from ..traces.head_movement import HeadTrace
@@ -160,35 +160,90 @@ def default_cache_dir() -> Path:
 # ----------------------------------------------------------------------
 
 
-def _update(h: "hashlib._Hash", obj: Any) -> None:
+_PACK_U32 = struct.Struct("<I").pack
+_PACK_F64 = struct.Struct("<d").pack
+_FOLD_CHUNKS = 4096
+
+
+class _Chunks(list):
+    """Encoded chunks awaiting the hash.  Hashing concatenated chunks
+    equals hashing them one by one; :meth:`fold` feeds them in batches
+    so a large context never sits in memory twice."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.hash = hashlib.sha256()
+
+    def fold(self) -> None:
+        self.hash.update(b"".join(self))
+        self.clear()
+
+
+def _encode(obj: Any, out: _Chunks) -> None:
+    """Append the digest encoding of ``obj`` to ``out``.
+
+    Sequences and exact ``str``/``int``/``float`` values take a fast
+    path; every other value goes through :func:`_encode_other`, whose
+    ``isinstance`` chain fixes the encoding of subclasses (``bool``)
+    and numpy scalars.
+    """
+    if isinstance(obj, (tuple, list)):
+        out.append(b"t" + _PACK_U32(len(obj)))
+        for part in obj:
+            cls = type(part)
+            if cls is str:
+                raw = part.encode("utf-8")
+                out.append(b"s" + _PACK_U32(len(raw)) + raw)
+            elif cls is int:
+                raw = str(part).encode("ascii")
+                out.append(b"i" + _PACK_U32(len(raw)) + raw)
+            elif cls is float:
+                out.append(b"f" + _PACK_F64(part))
+            else:
+                _encode(part, out)
+        if len(out) >= _FOLD_CHUNKS:
+            out.fold()
+        return
+    cls = type(obj)
+    if cls is str:
+        raw = obj.encode("utf-8")
+        out.append(b"s" + _PACK_U32(len(raw)) + raw)
+    elif cls is int:
+        raw = str(obj).encode("ascii")
+        out.append(b"i" + _PACK_U32(len(raw)) + raw)
+    elif cls is float:
+        out.append(b"f" + _PACK_F64(obj))
+    else:
+        _encode_other(obj, out)
+
+
+def _encode_other(obj: Any, out: _Chunks) -> None:
     if obj is None:
-        h.update(b"N")
+        out.append(b"N")
     elif isinstance(obj, bool):
-        h.update(b"b1" if obj else b"b0")
+        out.append(b"b1" if obj else b"b0")
     elif isinstance(obj, (int, np.integer)):
         raw = str(int(obj)).encode("ascii")
-        h.update(b"i" + struct.pack("<I", len(raw)) + raw)
+        out.append(b"i" + _PACK_U32(len(raw)) + raw)
     elif isinstance(obj, (float, np.floating)):
-        h.update(b"f" + struct.pack("<d", float(obj)))
+        out.append(b"f" + _PACK_F64(float(obj)))
     elif isinstance(obj, str):
         raw = obj.encode("utf-8")
-        h.update(b"s" + struct.pack("<I", len(raw)) + raw)
+        out.append(b"s" + _PACK_U32(len(raw)) + raw)
     elif isinstance(obj, bytes):
-        h.update(b"y" + struct.pack("<I", len(obj)) + obj)
+        out.append(b"y" + _PACK_U32(len(obj)) + obj)
     elif isinstance(obj, np.ndarray):
         arr = np.ascontiguousarray(obj)
         meta = f"{arr.dtype.str}{arr.shape}".encode("ascii")
-        h.update(b"a" + struct.pack("<I", len(meta)) + meta + arr.tobytes())
-    elif isinstance(obj, (tuple, list)):
-        h.update(b"t" + struct.pack("<I", len(obj)))
-        for part in obj:
-            _update(h, part)
+        out.append(b"a" + _PACK_U32(len(meta)) + meta)
+        out.append(arr.tobytes())
+        out.fold()
     elif isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: repr(kv[0]))
-        h.update(b"d" + struct.pack("<I", len(items)))
+        out.append(b"d" + _PACK_U32(len(items)))
         for key, value in items:
-            _update(h, key)
-            _update(h, value)
+            _encode(key, out)
+            _encode(value, out)
     else:
         raise TypeError(
             f"cannot digest {type(obj).__name__}; pass a fingerprint of "
@@ -198,9 +253,10 @@ def _update(h: "hashlib._Hash", obj: Any) -> None:
 
 def content_digest(*parts: Any) -> str:
     """SHA-256 hex digest of a nested structure of primitives/arrays."""
-    h = hashlib.sha256()
-    _update(h, parts)
-    return h.hexdigest()
+    out = _Chunks()
+    _encode(parts, out)
+    out.fold()
+    return out.hash.hexdigest()
 
 
 def video_fingerprint(video: Video) -> tuple:
@@ -338,8 +394,24 @@ def ftiles_key(
 # ----------------------------------------------------------------------
 
 
+_LEAF_TYPES = frozenset({type(None), bool, str, bytes, int, float})
+
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+"""Dataclass field names per type (what ``dataclasses.fields`` lists)."""
+
+
 def structural_fingerprint(obj: Any) -> Any:
     """Reduce a live experiment object to :func:`content_digest` input."""
+    cls = type(obj)
+    if cls in _LEAF_TYPES:
+        return obj
+    if isinstance(obj, (tuple, list)):
+        return tuple([structural_fingerprint(part) for part in obj])
+    if cls is Tile:
+        # The generic dataclass walk's result, without the walk.
+        row, col = obj.row, obj.col
+        if type(row) is int and type(col) is int:
+            return ("obj", "Tile", (("row", row), ("col", col)))
     if obj is None or isinstance(
         obj, (bool, str, bytes, int, float, np.integer, np.floating,
               np.ndarray)
@@ -379,8 +451,6 @@ def structural_fingerprint(obj: Any) -> Any:
             obj.yaw_unwrapped,
             obj.pitch,
         )
-    if isinstance(obj, (tuple, list)):
-        return tuple(structural_fingerprint(part) for part in obj)
     if isinstance(obj, (set, frozenset)):
         parts = [structural_fingerprint(part) for part in obj]
         return ("set", tuple(sorted(parts, key=repr)))
@@ -389,14 +459,18 @@ def structural_fingerprint(obj: Any) -> Any:
             (structural_fingerprint(k), structural_fingerprint(v))
             for k, v in obj.items()
         ]
-        return ("dict", tuple(sorted(items, key=repr)))
+        return ("dict", tuple(_sorted_by_repr(items)))
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        names = _FIELD_NAMES.get(cls)
+        if names is None:
+            names = tuple(f.name for f in dataclasses.fields(obj))
+            _FIELD_NAMES[cls] = names
         return (
             "obj",
-            type(obj).__qualname__,
+            cls.__qualname__,
             tuple(
-                (f.name, structural_fingerprint(getattr(obj, f.name)))
-                for f in dataclasses.fields(obj)
+                (name, structural_fingerprint(getattr(obj, name)))
+                for name in names
             ),
         )
     if callable(obj):
@@ -408,6 +482,23 @@ def structural_fingerprint(obj: Any) -> Any:
     raise TypeError(
         f"cannot fingerprint {type(obj).__name__}; add a structural case"
     )
+
+
+def _sorted_by_repr(items: list[tuple[Any, Any]]) -> list[tuple[Any, Any]]:
+    """``sorted(items, key=repr)`` for ``(key, value)`` pairs, without
+    formatting the values when the keys decide the order.
+
+    ``repr((k, v))`` starts with ``"(" + repr(k)``, so when no key's
+    repr is a prefix of (or equal to) another's, the two orders agree
+    and there are no ties.  In a sorted list such a prefix pair would
+    include an adjacent one, so checking neighbours suffices.
+    """
+    key_reprs = [repr(k) for k, _ in items]
+    order = sorted(range(len(items)), key=key_reprs.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if key_reprs[b].startswith(key_reprs[a]):
+            return sorted(items, key=repr)
+    return [items[i] for i in order]
 
 
 def sweep_context_digest(context: Any) -> str:

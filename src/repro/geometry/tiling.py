@@ -19,6 +19,13 @@ from .viewport import Rect, Viewport
 
 __all__ = ["Tile", "TileGrid", "DEFAULT_GRID", "FTILE_BLOCK_GRID"]
 
+VIEWPORT_CACHE_MAX = 1 << 15
+"""Entries a grid's viewport-coverage memo holds before it is cleared.
+
+A sweep's cold pass looks up ~17k distinct viewports; a long-lived
+decision service sees a new one with nearly every request, so the memo
+is capped to keep a shared grid's memory bounded."""
+
 
 @dataclass(frozen=True, order=True)
 class Tile:
@@ -109,13 +116,38 @@ class TileGrid:
         """
         if not (0.0 <= min_overlap < 1.0):
             raise ValueError("min_overlap must be in [0, 1)")
-        tile_area = self.tile_width * self.tile_height
-        result: set[Tile] = set()
-        for tile in self.tiles():
-            overlap = self.tile_rect(tile).intersection_area(rect)
-            if overlap > min_overlap * tile_area:
-                result.add(tile)
-        return result
+        threshold = min_overlap * (self.tile_width * self.tile_height)
+        return {
+            Tile(row, col)
+            for row, col, area in self._rect_overlaps(rect)
+            if area > threshold
+        }
+
+    def _rect_overlaps(self, rect: Rect) -> Iterator[tuple[int, int, float]]:
+        """``(row, col, overlap area)`` of every tile with positive
+        overlap, in row-major order.
+
+        On a regular grid a tile's overlap is ``dx(col) * dy(row)``;
+        both factors use the expressions of :meth:`tile_rect` and
+        :meth:`Rect.intersection_area`, so each area is bit-identical to
+        ``tile_rect(tile).intersection_area(rect)``.
+        """
+        tw = self.tile_width
+        th = self.tile_height
+        dxs = []
+        for col in range(self.cols):
+            x0 = col * tw
+            dx = min(x0 + tw, rect.x1) - max(x0, rect.x0)
+            if dx > 0:
+                dxs.append((col, dx))
+        for row in range(self.rows):
+            y1 = 90.0 - row * th
+            dy = min(y1, rect.y1) - max(y1 - th, rect.y0)
+            if dy > 0:
+                for col, dx in dxs:
+                    area = dx * dy
+                    if area > 0:
+                        yield row, col, area
 
     def viewport_tiles(
         self, viewport: Viewport, min_overlap: float = 0.1
@@ -131,24 +163,27 @@ class TileGrid:
         Results are memoized per (viewport, min_overlap): the same
         predicted viewport is looked up by every scheme and by every
         Ptile's overlap test, so the geometry sweep repeats many times
-        per segment.  The returned frozenset must not be mutated.
+        per segment.  The memo is cleared when it reaches
+        :data:`VIEWPORT_CACHE_MAX` entries.  The returned frozenset must
+        not be mutated.
         """
         cache_key = (viewport, min_overlap)
         cached = self._viewport_cache.get(cache_key)
         if cached is not None:
             return cached
-        overlap_by_tile: dict[Tile, float] = {}
-        tile_area = self.tile_width * self.tile_height
+        overlap_by_tile: dict[tuple[int, int], float] = {}
         for rect in viewport.rects():
-            for tile in self.tiles():
-                area = self.tile_rect(tile).intersection_area(rect)
-                if area > 0:
-                    overlap_by_tile[tile] = overlap_by_tile.get(tile, 0.0) + area
+            for row, col, area in self._rect_overlaps(rect):
+                key = (row, col)
+                overlap_by_tile[key] = overlap_by_tile.get(key, 0.0) + area
+        threshold = min_overlap * (self.tile_width * self.tile_height)
         result = frozenset(
-            tile
-            for tile, area in overlap_by_tile.items()
-            if area > min_overlap * tile_area
+            Tile(row, col)
+            for (row, col), area in overlap_by_tile.items()
+            if area > threshold
         )
+        if len(self._viewport_cache) >= VIEWPORT_CACHE_MAX:
+            self._viewport_cache.clear()
         self._viewport_cache[cache_key] = result
         return result
 

@@ -114,7 +114,7 @@ class ViewportPredictor:
             # Unwrap: choose the representation closest to the last yaw.
             delta = (yaw - last_yaw + 180.0) % 360.0 - 180.0
             yaw = last_yaw + delta
-        self._history.append((t, yaw, float(np.clip(pitch, -90.0, 90.0))))
+        self._history.append((t, yaw, float(min(max(pitch, -90.0), 90.0))))
         cutoff = t - self.window_s
         while self._history and self._history[0][0] < cutoff:
             self._history.popleft()
@@ -137,7 +137,7 @@ class ViewportPredictor:
         pitches = np.array([h[2] for h in self._history])
         t_last, yaw_last, pitch_last = self._history[-1]
         if len(self._history) < 4 or t_target <= t_last:
-            return yaw_last % 360.0, float(np.clip(pitch_last, -90.0, 90.0))
+            return yaw_last % 360.0, float(min(max(pitch_last, -90.0), 90.0))
 
         rel = (times - t_last)[:, None]
         yaw_model = RidgeRegressor(self.lam).fit(rel, yaws)
@@ -151,11 +151,11 @@ class ViewportPredictor:
 
         # Clamp the implied trend speed.
         max_move = self.max_trend_deg_s * horizon
-        yaw_hat = yaw_last + float(np.clip(yaw_hat - yaw_last, -max_move, max_move))
+        yaw_hat = yaw_last + float(min(max(yaw_hat - yaw_last, -max_move), max_move))
         pitch_hat = pitch_last + float(
-            np.clip(pitch_hat - pitch_last, -max_move, max_move)
+            min(max(pitch_hat - pitch_last, -max_move), max_move)
         )
-        return yaw_hat % 360.0, float(np.clip(pitch_hat, -90.0, 90.0))
+        return yaw_hat % 360.0, float(min(max(pitch_hat, -90.0), 90.0))
 
     def predict_viewport(self, t_target: float) -> Viewport:
         yaw, pitch = self.predict_center(t_target)

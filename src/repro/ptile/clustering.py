@@ -36,6 +36,10 @@ from ..geometry.sphere import equirect_distance
 
 __all__ = ["ViewingCenter", "Cluster", "cluster_viewing_centers"]
 
+# Relative slack of the numpy prefilters, far above the few-ulp gap
+# between numpy's and ``math``'s evaluation of the same distance.
+_PREFILTER_SLACK = 1e-9
+
 
 @dataclass(frozen=True, order=True)
 class ViewingCenter:
@@ -70,9 +74,8 @@ class Cluster:
         """Maximum pairwise distance between members (degrees)."""
         best = 0.0
         members = self.members
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                best = max(best, members[i].distance_to(members[j]))
+        for i, j in _diameter_candidates(members):
+            best = max(best, members[i].distance_to(members[j]))
         return best
 
     def centroid(self) -> tuple[float, float]:
@@ -112,11 +115,7 @@ def cluster_viewing_centers(
         return []
 
     # Line 1: close-neighbor sets over the full input.
-    neighbors: dict[int, list[ViewingCenter]] = {
-        u.user_id: [n for n in nodes if n.user_id != u.user_id
-                    and u.distance_to(n) <= delta]
-        for u in nodes
-    }
+    neighbors = _close_neighbors(nodes, delta)
 
     remaining: dict[int, ViewingCenter] = {u.user_id: u for u in nodes}
     clusters: list[Cluster] = []
@@ -130,6 +129,67 @@ def cluster_viewing_centers(
 
     clusters.sort(key=lambda c: (-c.size, c.members[0].user_id))
     return clusters
+
+
+def _wrapped_offsets(
+    centers: tuple[ViewingCenter, ...] | list[ViewingCenter],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise wrap-aware |delta yaw| and |delta pitch| matrices, by
+    the same float operations as :func:`equirect_distance`."""
+    yaws = np.array([c.yaw for c in centers]) % 360.0
+    pitches = np.array([c.pitch for c in centers])
+    dyaw = np.abs(yaws[:, None] - yaws[None, :])
+    dyaw = np.minimum(dyaw, 360.0 - dyaw)
+    dpitch = np.abs(pitches[:, None] - pitches[None, :])
+    return dyaw, dpitch
+
+
+def _close_neighbors(
+    nodes: list[ViewingCenter], delta: float
+) -> dict[int, list[ViewingCenter]]:
+    """Each node's close neighbors (distance <= delta), in node order.
+
+    A pair within delta has both |delta yaw| and |delta pitch| within
+    delta (the distance is their hypotenuse), so a numpy bound on both
+    prefilters the pairs; every candidate is then confirmed with
+    :func:`equirect_distance` itself, once per unordered pair (the
+    distance is symmetric), so each ``<= delta`` decision is exactly
+    the scalar one.
+    """
+    neighbors: dict[int, list[ViewingCenter]] = {u.user_id: [] for u in nodes}
+    dyaw, dpitch = _wrapped_offsets(nodes)
+    bound = delta + _PREFILTER_SLACK * max(1.0, delta)
+    mask = (dyaw <= bound) & (dpitch <= bound)
+    # NaN coordinates fail every comparison, as in the scalar test.
+    rows, cols = np.nonzero(np.triu(mask, 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        u, v = nodes[i], nodes[j]
+        if u.distance_to(v) <= delta:
+            neighbors[u.user_id].append(v)
+            neighbors[v.user_id].append(u)
+    return neighbors
+
+
+def _diameter_candidates(
+    members: tuple[ViewingCenter, ...],
+) -> list[tuple[int, int]]:
+    """Index pairs ``i < j`` that can realize a cluster's diameter.
+
+    A numpy estimate of every pairwise distance keeps the pairs within
+    a relative slack of the largest estimate, which always includes the
+    exact farthest pair; non-finite coordinates keep every pair.
+    """
+    n = len(members)
+    if n < 2:
+        return []
+    dyaw, dpitch = _wrapped_offsets(members)
+    estimate = np.triu(np.hypot(dyaw, dpitch), 1)
+    if not np.isfinite(estimate).all():
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    top = float(estimate.max())
+    cutoff = top - _PREFILTER_SLACK * max(1.0, top)
+    rows, cols = np.nonzero(estimate >= cutoff)
+    return [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
 
 
 def _expand_cluster(

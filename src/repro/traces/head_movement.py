@@ -88,7 +88,7 @@ class HeadTrace:
         cached = self._kinematics_cache.get(cache_key)
         if cached is not None:
             return cached
-        tc = float(np.clip(t, self.timestamps[0], self.timestamps[-1]))
+        tc = float(min(max(t, self.timestamps[0]), self.timestamps[-1]))
         yaw = float(np.interp(tc, self.timestamps, self.yaw_unwrapped)) % 360.0
         pitch = float(np.interp(tc, self.timestamps, self.pitch))
         self._kinematics_cache[cache_key] = (yaw, pitch)

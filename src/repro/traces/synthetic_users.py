@@ -151,9 +151,18 @@ def generate_user_trace(
     if seed is None:
         seed = video.meta.video_id * 1_000_003 + user_id * 7907
     rng = np.random.default_rng(seed)
+    # The pursuit loop runs on Python floats with bound generator
+    # methods: the same draws in the same order and the same float
+    # operations as a numpy-scalar loop, without per-sample dispatch.
+    normal = rng.normal
+    random = rng.random
+    uniform = rng.uniform
     dt = 1.0 / params.sample_rate_hz
     n = roi.num_samples
     t = roi.timestamps
+    times = t.tolist()
+    roi_yaws = roi.yaw_unwrapped.tolist()
+    roi_pitches = roi.pitch.tolist()
 
     # Per-user stable traits.
     secondary_share = (
@@ -161,92 +170,92 @@ def generate_user_trace(
         if exploratory
         else params.secondary_attention_share
     )
-    secondary_viewer = rng.random() < secondary_share
-    offset_yaw = rng.normal(0.0, params.personal_offset_deg)
-    offset_pitch = rng.normal(0.0, params.personal_offset_deg * 0.6)
+    secondary_viewer = random() < secondary_share
+    offset_yaw = normal(0.0, params.personal_offset_deg)
+    offset_pitch = normal(0.0, params.personal_offset_deg * 0.6)
 
-    yaw = np.empty(n)
-    pitch = np.empty(n)
-    yaw[0], pitch[0] = roi.at(0)
-    yaw[0] += offset_yaw
-    pitch[0] = float(np.clip(pitch[0] + offset_pitch, -80.0, 80.0))
+    prev_yaw = roi_yaws[0] + offset_yaw
+    prev_pitch = min(max(roi_pitches[0] + offset_pitch, -80.0), 80.0)
+    yaw = [prev_yaw]
+    pitch = [prev_pitch]
     vel_yaw = 0.0
     vel_pitch = 0.0
 
-    exploring = exploratory and rng.random() < 0.5
+    exploring = exploratory and random() < 0.5
     on_secondary = False
-    waypoint = (yaw[0], pitch[0])
+    waypoint = (prev_yaw, prev_pitch)
     next_waypoint_at = 0.0
     offset_theta = 1.0 / params.offset_time_constant_s
     offset_sigma = params.personal_offset_deg
+    offset_step = float(np.sqrt(2 * offset_theta * dt))
+    yaw_offset_scale = offset_sigma * offset_step
+    pitch_offset_scale = 0.6 * offset_sigma * offset_step
+    explore_to_follow = params.explore_to_follow_per_s * dt
+    follow_to_explore = params.follow_to_explore_per_s * dt
+    secondary_switch = params.secondary_switch_per_s * dt
+    waypoint_lo, waypoint_hi = params.waypoint_interval_s
+    pitch_lo, pitch_hi = params.waypoint_pitch_range
+    yaw_span = params.waypoint_yaw_span_deg
+    secondary_offset = params.secondary_roi_offset_deg
+    gain = params.pursuit_gain
+    damping = params.pursuit_damping
+    jitter = params.jitter_deg
 
     for i in range(1, n):
-        now = t[i]
+        now = times[i]
         # Slowly wandering personal offset (users do not stare at the
         # exact ROI point).
         offset_yaw += (
-            -offset_theta * offset_yaw * dt
-            + offset_sigma * np.sqrt(2 * offset_theta * dt) * rng.normal()
+            -offset_theta * offset_yaw * dt + yaw_offset_scale * normal()
         )
         offset_pitch += (
-            -offset_theta * offset_pitch * dt
-            + 0.6 * offset_sigma * np.sqrt(2 * offset_theta * dt) * rng.normal()
+            -offset_theta * offset_pitch * dt + pitch_offset_scale * normal()
         )
 
         # Behavioural state transitions.
         if exploratory:
             if exploring:
-                if rng.random() < params.explore_to_follow_per_s * dt:
+                if random() < explore_to_follow:
                     exploring = False
-            elif rng.random() < params.follow_to_explore_per_s * dt:
+            elif random() < follow_to_explore:
                 exploring = True
-        if secondary_viewer and rng.random() < params.secondary_switch_per_s * dt:
+        if secondary_viewer and random() < secondary_switch:
             on_secondary = not on_secondary
 
         # Current target.
-        roi_yaw, roi_pitch = roi.at(i)
         if exploring:
             if now >= next_waypoint_at:
-                lo, hi = params.waypoint_interval_s
-                next_waypoint_at = now + rng.uniform(lo, hi)
+                next_waypoint_at = now + uniform(waypoint_lo, waypoint_hi)
                 waypoint = (
-                    yaw[i - 1] + rng.uniform(-1.0, 1.0) * params.waypoint_yaw_span_deg,
-                    rng.uniform(*params.waypoint_pitch_range),
+                    prev_yaw + uniform(-1.0, 1.0) * yaw_span,
+                    uniform(pitch_lo, pitch_hi),
                 )
             target_yaw, target_pitch = waypoint
         else:
-            target_yaw = roi_yaw + offset_yaw
-            target_pitch = roi_pitch + offset_pitch
+            target_yaw = roi_yaws[i] + offset_yaw
+            target_pitch = roi_pitches[i] + offset_pitch
             if on_secondary:
-                target_yaw += params.secondary_roi_offset_deg
-        target_pitch = float(np.clip(target_pitch, -80.0, 80.0))
+                target_yaw += secondary_offset
+        target_pitch = min(max(target_pitch, -80.0), 80.0)
 
         # Damped pursuit dynamics.
-        acc_yaw = (
-            params.pursuit_gain * (target_yaw - yaw[i - 1])
-            - params.pursuit_damping * vel_yaw
-        )
-        acc_pitch = (
-            params.pursuit_gain * (target_pitch - pitch[i - 1])
-            - params.pursuit_damping * vel_pitch
-        )
+        acc_yaw = gain * (target_yaw - prev_yaw) - damping * vel_yaw
+        acc_pitch = gain * (target_pitch - prev_pitch) - damping * vel_pitch
         vel_yaw += acc_yaw * dt
         vel_pitch += acc_pitch * dt
-        yaw[i] = yaw[i - 1] + vel_yaw * dt + rng.normal(0.0, params.jitter_deg)
-        pitch[i] = float(
-            np.clip(
-                pitch[i - 1] + vel_pitch * dt + rng.normal(0.0, params.jitter_deg),
-                -85.0,
-                85.0,
-            )
+        prev_yaw = prev_yaw + vel_yaw * dt + normal(0.0, jitter)
+        prev_pitch = min(
+            max(prev_pitch + vel_pitch * dt + normal(0.0, jitter), -85.0), 85.0
         )
+        yaw.append(prev_yaw)
+        pitch.append(prev_pitch)
 
     return HeadTrace(
         user_id=user_id,
         video_id=video.meta.video_id,
         timestamps=t,
-        yaw_unwrapped=yaw,
-        pitch=pitch,
+        yaw_unwrapped=np.array(yaw),
+        pitch=np.array(pitch),
     )
 
 

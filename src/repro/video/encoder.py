@@ -189,7 +189,7 @@ class EncoderModel:
 
     def content_factor(self, si: float, ti: float) -> float:
         """Bitrate multiplier for content complexity (1.0 near SI 33, TI 14)."""
-        return float(np.clip(0.35 + 0.011 * si + 0.022 * ti, 0.3, 2.5))
+        return float(min(max(0.35 + 0.011 * si + 0.022 * ti, 0.3), 2.5))
 
     def full_frame_bitrate_at_crf(self, crf: float, si: float, ti: float) -> float:
         """Bitrate (Mbps) of the whole 4K frame encoded at a raw CRF.
@@ -332,8 +332,8 @@ class EncoderModel:
         size = content + overhead
         if frame_rate is not None:
             size *= self.frame_rate_factor(frame_rate, fps)
-        if noise_key is not None and self.noise_sigma > 0:
-            size *= self._noise(noise_key)
+        if noise_key is not None:
+            size *= self.noise_factor(noise_key)
         return size
 
     def tile_size_mbit(
@@ -373,6 +373,19 @@ class EncoderModel:
         return total
 
     # ------------------------------------------------------------------
+
+    def noise_factor(self, key: tuple) -> float:
+        """Multiplicative size noise of the region ``key`` names.
+
+        A pure function of ``(seed, noise_sigma, key)``, and 1.0 when
+        ``noise_sigma`` is 0.  Each call draws afresh; callers that ask
+        for one region many times (see
+        :meth:`~repro.video.segments.SegmentManifest.region_size_mbit`)
+        keep the factor.
+        """
+        if self.noise_sigma > 0:
+            return self._noise(key)
+        return 1.0
 
     def _noise(self, key: tuple) -> float:
         rng = np.random.default_rng([self.seed & 0xFFFFFFFF] + _stable_key_ints(key))

@@ -31,8 +31,11 @@ class SegmentManifest:
     fields (the encoder noise is deterministic per key), so results are
     memoized per instance: a trace-driven sweep asks for the same tile
     and region sizes thousands of times across users and MPC lookahead
-    windows.  The cache is attached via ``object.__setattr__`` and never
-    invalidated — there is nothing to invalidate.
+    windows.  The encoder-noise factor of a region depends on the region
+    alone, not on quality, area or frame rate, so it is drawn once per
+    region and kept in the same memo.  The cache is attached via
+    ``object.__setattr__`` and never invalidated — there is nothing to
+    invalidate.
     """
 
     video_id: int
@@ -60,15 +63,25 @@ class SegmentManifest:
     def grid(self) -> TileGrid:
         return self.encoder.grid
 
+    def _noise(self, region: tuple) -> float:
+        """The encoder-noise factor of one region of this segment."""
+        cache_key = ("noise",) + region
+        factor = self._size_cache.get(cache_key)
+        if factor is None:
+            factor = self.encoder.noise_factor(
+                (self.video_id, self.segment_index) + region
+            )
+            self._size_cache[cache_key] = factor
+        return factor
+
     def tile_size_mbit(self, tile: Tile, quality: float) -> float:
         """Size of one conventional grid tile at a quality level."""
         cache_key = ("tile", tile.row, tile.col, quality)
         size = self._size_cache.get(cache_key)
         if size is None:
-            key = (self.video_id, self.segment_index, "tile", tile.row, tile.col)
             size = self.encoder.tile_size_mbit(
-                quality, self.si, self.ti, noise_key=key
-            )
+                quality, self.si, self.ti
+            ) * self._noise(("tile", tile.row, tile.col))
             self._size_cache[cache_key] = size
         return size
 
@@ -93,7 +106,6 @@ class SegmentManifest:
         cache_key = (region_key, area_fraction, quality, frame_rate, fps)
         size = self._size_cache.get(cache_key)
         if size is None:
-            key = (self.video_id, self.segment_index, region_key)
             size = self.encoder.region_size_mbit(
                 quality,
                 self.si,
@@ -101,8 +113,7 @@ class SegmentManifest:
                 area_fraction,
                 frame_rate=frame_rate,
                 fps=fps,
-                noise_key=key,
-            )
+            ) * self._noise((region_key,))
             self._size_cache[cache_key] = size
         return size
 

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.experiments import run_comparison
+from repro.experiments import make_setup, run_comparison
 from repro.experiments.artifacts import (
     ArtifactStore,
     content_digest,
@@ -326,6 +326,46 @@ class TestRunComparisonIdentity:
         warm = run_comparison(warm_setup, device, **SWEEP_KW)
         assert warm_setup.artifacts.stats.total_misses == 0
         assert result_signature(warm)
+
+
+class TestTwoVideoSweep:
+    def test_serial_pooled_cold_warm_identical(self, tmp_path, monkeypatch):
+        """Videos 2 and 8, 16 users: a serial cold run, a 2-worker run
+        and a warm run return the same sessions; cold has no hit, warm
+        has no miss and never reaches construction."""
+
+        def signature(results):
+            return [
+                (key, r.user_id, r.total_energy_j, r.mean_qoe,
+                 r.total_stall_s)
+                for key, sessions in sorted(results.items())
+                for r in sessions
+            ]
+
+        kw = dict(max_duration_s=30, n_users=16, n_train=12, seed=7,
+                  video_ids=(2, 8))
+        cold_setup = make_setup(artifacts=ArtifactStore(tmp_path), **kw)
+        cold = run_comparison(cold_setup, PIXEL_3, users_per_video=2,
+                              workers=1)
+        assert cold_setup.artifacts.stats.total_hits == 0
+
+        pooled = run_comparison(make_setup(**kw), PIXEL_3,
+                                users_per_video=2, workers=2)
+
+        import repro.experiments.setup as setup_mod
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("warm run invoked content construction")
+
+        monkeypatch.setattr(setup_mod, "build_video_ptiles", boom)
+        monkeypatch.setattr(setup_mod, "build_video_ftiles", boom)
+        warm_setup = make_setup(artifacts=ArtifactStore(tmp_path), **kw)
+        warm = run_comparison(warm_setup, PIXEL_3, users_per_video=2)
+        stats = warm_setup.artifacts.stats
+        assert stats.total_misses == 0, stats.report()
+        assert stats.total_hits > 0, stats.report()
+        assert signature(cold) == signature(pooled) == signature(warm)
+        assert sum(len(v) for v in cold.values()) == 40
 
 
 class TestInvalidation:

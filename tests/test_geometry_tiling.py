@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.geometry import tiling
 from repro.geometry import (
     DEFAULT_GRID,
     FTILE_BLOCK_GRID,
@@ -105,6 +106,26 @@ class TestViewportTiles:
         tiles = DEFAULT_GRID.viewport_tiles(Viewport(0.0, 0.0))
         cols = {t.col for t in tiles}
         assert 0 in cols and 7 in cols
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(tiling, "VIEWPORT_CACHE_MAX", 16)
+        grid = TileGrid(4, 8)
+        viewports = [Viewport(7.5 * i, (i % 13) * 10.0 - 60.0)
+                     for i in range(50)]
+        answers = []
+        for viewport in viewports:
+            answers.append(grid.viewport_tiles(viewport))
+            assert 1 <= len(grid._viewport_cache) <= 16
+        # Every answer, evicted or not, is recomputed identically.
+        fresh = TileGrid(4, 8)
+        for viewport, answer in zip(viewports, answers):
+            assert grid.viewport_tiles(viewport) == answer
+            assert fresh.viewport_tiles(viewport) == answer
+            assert len(grid._viewport_cache) <= 16
+
+    def test_memo_cap_is_a_module_constant(self):
+        assert isinstance(tiling.VIEWPORT_CACHE_MAX, int)
+        assert tiling.VIEWPORT_CACHE_MAX >= 1 << 15  # a cold sweep's ~17k fit
 
 
 class TestBoundingRect:
