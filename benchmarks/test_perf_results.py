@@ -41,8 +41,9 @@ from conftest import bench_duration, bench_users, run_once
 def _fresh_setup(cache_dir):
     # A fresh setup and store each time: in-memory memos start empty, so
     # only the disk stores can carry anything between runs.  Setup
-    # construction (synthesizing the dataset) happens outside the timed
-    # region — the cache accelerates the sweep, not input generation.
+    # construction (synthesizing the dataset cold, loading it from the
+    # store warm) happens outside the timed region, which covers only
+    # the sweep.
     store = ShardedResultsStore(cache_dir)
     return make_setup(max_duration_s=bench_duration(), artifacts=store), store
 

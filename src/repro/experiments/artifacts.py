@@ -8,7 +8,11 @@ clustering parameters, and training-trace set, the resulting
 :class:`~repro.streaming.ftile.FtilePartition` objects are a
 deterministic function of their inputs.  Rebuilding them on every
 ``repro-360`` invocation wastes minutes of Algorithm 1 clustering that
-could be a single deserialization.
+could be a single deserialization.  The same holds one step earlier:
+the synthesized :class:`~repro.traces.dataset.EvaluationDataset` (the
+catalog plus every user's head trace and the train/test split) is a
+pure function of its generation inputs, and is cached as the
+``dataset`` kind under :func:`dataset_key`.
 
 :class:`ArtifactStore` caches those objects on disk, keyed by a SHA-256
 **content digest** of everything that can change the result:
@@ -20,6 +24,13 @@ could be a single deserialization.
 * a digest of the training head traces (user ids + raw samples),
 * the artifact schema version and package version (code version).
 
+A dataset key covers the generation inputs instead (user count, train
+split size, seed, video selection, truncation, behaviour parameters),
+plus the numpy version (``Generator`` streams are not promised stable
+across releases) and :func:`dataset_source_digest`, a SHA-256 of the
+generator's source files, so editing the generator never serves a
+stale dataset.
+
 Keys are *content* hashes, not config names, so any change to the
 inputs — a different δ/σ, a truncated video, a different train/test
 split seed — lands in a different cache slot and a stale hit is
@@ -28,9 +39,11 @@ impossible.  Values are pickled with an atomic write (temp file +
 corrupt or truncated file is treated as a miss and rebuilt.
 
 The store is wired into :class:`~repro.experiments.setup.ExperimentSetup`
-(see ``ExperimentSetup.prepare``); the CLI enables it by default under
-``~/.cache/repro-360`` (``--artifact-cache DIR`` / ``--no-artifact-cache``
-to relocate or disable, ``REPRO_ARTIFACT_CACHE`` as the env override).
+(see ``ExperimentSetup.prepare``) and into ``make_setup``, which loads
+the dataset from it and synthesizes only on a miss.  The CLI enables
+it by default under ``~/.cache/repro-360`` (``--artifact-cache DIR`` /
+``--no-artifact-cache`` to relocate or disable,
+``REPRO_ARTIFACT_CACHE`` as the env override).
 
 Session **results** are cached in the same directory, but in columnar
 shards rather than one file per object: a
@@ -50,6 +63,7 @@ slot; ``repro-360 --no-results-cache`` opts out (see
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import os
@@ -73,6 +87,7 @@ from ..geometry.tiling import Tile, TileGrid
 from ..ptile.construction import Ptile, PtileConfig
 from ..streaming.cache import EdgeHitModel
 from ..traces.head_movement import HeadTrace
+from ..traces.synthetic_users import BehaviorParams
 from ..video.content import Video
 from ..video.encoder import EncoderModel
 from ..video.segments import VideoManifest
@@ -84,6 +99,8 @@ __all__ = [
     "ArtifactStore",
     "ShardedResultsStore",
     "content_digest",
+    "dataset_key",
+    "dataset_source_digest",
     "default_cache_dir",
     "encoder_fingerprint",
     "grid_fingerprint",
@@ -106,7 +123,11 @@ v2: per-content encoding ladders — :func:`encoder_fingerprint` gained
 the encoder's :class:`~repro.encoding.ladder.EncodingLadder`
 fingerprint (manifests encoded under different ladders can never share
 a slot) and the new ``ladder`` artifact kind caches optimizer search
-results."""
+results.
+
+The ``dataset`` kind (:func:`dataset_key`) was added later without a
+bump: it changes no existing key, so caches written before it stay
+warm for every other kind."""
 
 RESULTS_SCHEMA_VERSION = 4
 """Bumped whenever the session-result schema or the fingerprint
@@ -131,12 +152,12 @@ v4: uncertainty-aware robust planning — SegmentRecord gained
 through the generic dataclass walk, so robust and point-prediction
 sweeps can never share a cached session.
 
-v5: per-content encoding ladders — the encoder fingerprint (and with
-it every VideoManifest and sweep-context digest) now covers the
-encoding ladder, so sessions run under the fixed and an optimized
-ladder can never share a cached result."""
+Per-content encoding ladders did not bump it: the ladder reaches every
+VideoManifest and sweep-context digest through
+:func:`encoder_fingerprint`, so sessions run under the fixed and an
+optimized ladder already land in different shards."""
 
-ARTIFACT_KINDS = ("manifest", "ptiles", "ftiles", "ladder")
+ARTIFACT_KINDS = ("manifest", "ptiles", "ftiles", "ladder", "dataset")
 """Kinds stored one pickle per object; session results live in
 shards (see :meth:`ArtifactStore.get_results_batch`)."""
 
@@ -330,6 +351,56 @@ def ptiles_key(
         grid_fingerprint(grid),
         config.fingerprint(grid),
         traces_fingerprint(train_traces),
+    )
+
+
+DATASET_SOURCES = (
+    "traces/synthetic_users.py",
+    "traces/head_movement.py",
+    "traces/dataset.py",
+    "video/content.py",
+)
+"""Package-relative source files whose code generates the evaluation
+dataset; :func:`dataset_source_digest` hashes their bytes."""
+
+
+@functools.lru_cache(maxsize=1)
+def dataset_source_digest() -> str:
+    """SHA-256 over the source bytes of :data:`DATASET_SOURCES`.
+
+    Any edit to the generator changes the dataset key, so no constant
+    has to be bumped by hand to keep a stale dataset from being served.
+    """
+    root = Path(__file__).resolve().parent.parent
+    return content_digest(
+        *((name, (root / name).read_bytes()) for name in DATASET_SOURCES)
+    )
+
+
+def dataset_key(
+    n_users: int,
+    n_train: int,
+    seed: int,
+    video_ids: Sequence[int] | None,
+    max_duration_s: int | None,
+    params: BehaviorParams = BehaviorParams(),
+) -> str:
+    """Cache key for one synthesized evaluation dataset.
+
+    Covers every ``build_dataset`` input, the numpy version (its
+    ``Generator`` streams may change between releases) and the digest
+    of the generator's source.
+    """
+    return _versioned(
+        "dataset",
+        n_users,
+        n_train,
+        seed,
+        None if video_ids is None else tuple(video_ids),
+        max_duration_s,
+        structural_fingerprint(params),
+        np.__version__,
+        dataset_source_digest(),
     )
 
 
@@ -644,7 +715,8 @@ class ArtifactStore:
     """Disk-backed, content-hash-keyed cache of experiment artifacts.
 
     Content-prep artifacts (manifests, Ptiles, Ftiles, ladders — a
-    handful per video) are stored one pickle per object through
+    handful per video — and the evaluation dataset) are stored one
+    pickle per object through
     :meth:`get`/:meth:`put`.  Session results live in columnar shards,
     one per ``(sweep-context digest, video)`` group, through a batch
     interface:

@@ -36,7 +36,13 @@ from ..traces.network import NetworkTrace, paper_traces
 from ..video.content import Video
 from ..video.encoder import EncoderModel
 from ..video.segments import VideoManifest
-from .artifacts import ArtifactStore, ftiles_key, manifest_key, ptiles_key
+from .artifacts import (
+    ArtifactStore,
+    dataset_key,
+    ftiles_key,
+    manifest_key,
+    ptiles_key,
+)
 from .runner import SessionJob, SweepContext, parallel_map, run_session_jobs
 
 __all__ = ["ExperimentSetup", "make_setup", "SCHEME_ORDER", "make_schemes",
@@ -243,16 +249,26 @@ def make_setup(
     """Build the standard experiment setup.
 
     ``artifacts`` enables the disk-backed content-prep cache (see
-    :mod:`repro.experiments.artifacts`); the default keeps it off so
-    library callers opt in explicitly (the CLI opts in for them).
+    :mod:`repro.experiments.artifacts`), which also serves the
+    synthesized dataset, so a warm setup skips trace synthesis; the
+    default keeps it off so library callers opt in explicitly (the CLI
+    opts in for them).
     """
-    dataset = build_dataset(
-        n_users=n_users,
-        n_train=n_train,
-        seed=seed,
-        video_ids=video_ids,
-        max_duration_s=max_duration_s,
-    )
+    dataset = None
+    key = None
+    if artifacts is not None:
+        key = dataset_key(n_users, n_train, seed, video_ids, max_duration_s)
+        dataset = artifacts.get("dataset", key)
+    if dataset is None:
+        dataset = build_dataset(
+            n_users=n_users,
+            n_train=n_train,
+            seed=seed,
+            video_ids=video_ids,
+            max_duration_s=max_duration_s,
+        )
+        if artifacts is not None:
+            artifacts.put("dataset", key, dataset)
     trace1, trace2 = paper_traces()
     return ExperimentSetup(
         dataset=dataset,

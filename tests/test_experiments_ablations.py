@@ -187,6 +187,34 @@ class TestSharedCacheSweep:
             == _point_signature(warm)
         )
 
+    def test_cache_states_identical_at_30s(self, tmp_path):
+        # Off, cold and warm results stores agree on a 30 s, seed-7
+        # catalog, and Ptile keeps the edge byte-hit lead over Ctile.
+        from repro.experiments import ArtifactStore
+
+        setup = make_setup(max_duration_s=30, n_users=16, n_train=12,
+                           seed=7, video_ids=(2, 8))
+        kwargs = dict(capacities_mbit=(0.0, 500.0), users=1,
+                      tenant_viewers=6)
+        off = sweep_shared_cache(setup, **kwargs)
+        cold = sweep_shared_cache(
+            setup, results=ArtifactStore(tmp_path), **kwargs
+        )
+        warm_store = ArtifactStore(tmp_path)
+        warm = sweep_shared_cache(setup, results=warm_store, **kwargs)
+        assert warm_store.stats.misses.get("results") is None, (
+            warm_store.stats.report()
+        )
+        assert (
+            _point_signature(off)
+            == _point_signature(cold)
+            == _point_signature(warm)
+        ), "shared-cache sweep diverged across cache states"
+        shared = off[1].extra
+        assert shared["ptile_byte_hit"] >= shared["ctile_byte_hit"], (
+            "Ptile lost the edge byte-hit comparison"
+        )
+
     def test_requires_tenant_videos(self, two_video_setup):
         with pytest.raises(ValueError):
             sweep_shared_cache(two_video_setup, video_ids=())
